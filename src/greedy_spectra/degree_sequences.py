@@ -92,8 +92,11 @@ class DegreeSequence:
 def validate_degree_sequence(raw: Iterable[int]) -> DegreeSequence:
     """Sort a raw multiset of degrees and wrap it as a DegreeSequence.
 
-    Raises NotRealizableError if no tree has this degree multiset.
+    A DegreeSequence is returned unchanged.  Raises NotRealizableError if no
+    tree has this degree multiset.
     """
+    if isinstance(raw, DegreeSequence):
+        return raw
     return DegreeSequence(tuple(sorted((int(d) for d in raw), reverse=True)))
 
 

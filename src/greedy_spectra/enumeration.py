@@ -191,7 +191,7 @@ def enumerate_trees(d, cap: int | None = None) -> Iterator[Tree]:
     Deterministic: trees come out sorted by canonical code.  Raises
     CapExceededError when d has more vertices than the resolved cap.
     """
-    ds = d if isinstance(d, DegreeSequence) else validate_degree_sequence(d)
+    ds = validate_degree_sequence(d)
     limit = resolve_cap(cap)
     if ds.n > limit:
         raise CapExceededError(
@@ -252,10 +252,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing))
 
 
-def _coerce(d) -> DegreeSequence:
-    return d if isinstance(d, DegreeSequence) else validate_degree_sequence(d)
-
-
 def verify_greedy_maximality(d, k_max: int, cap: int | None = None) -> VerificationReport:
     """Check that the greedy tree attains every moment maximum in its class.
 
@@ -264,7 +260,7 @@ def verify_greedy_maximality(d, k_max: int, cap: int | None = None) -> Verificat
     k_max turn the status into ``pass-with-ties``.
     """
     started = time.perf_counter()
-    ds = _coerce(d)
+    ds = validate_degree_sequence(d)
     greedy = build_greedy_tree(ds)
     gm = spectral_moments_up_to(greedy, k_max)
     gcode = canonical_code(greedy, ignore_root=True)
@@ -318,7 +314,7 @@ def verify_majorization_monotonicity(b, d, k_max: int) -> VerificationReport:
     must be strictly larger on the d side.
     """
     started = time.perf_counter()
-    bs, ds = _coerce(b), _coerce(d)
+    bs, ds = validate_degree_sequence(b), validate_degree_sequence(d)
     if not majorizes(ds, bs):
         raise NotMajorizedError(f"{ds} does not majorize {bs}")
     gb = build_greedy_tree(bs)
@@ -437,7 +433,7 @@ def verify_spectral_corollaries(
     points right of its spectral radius.
     """
     started = time.perf_counter()
-    ds = _coerce(d)
+    ds = validate_degree_sequence(d)
     greedy = build_greedy_tree(ds)
     gcode = canonical_code(greedy, ignore_root=True)
     rho_g = spectral_radius(greedy, 1e-12)

@@ -1,9 +1,9 @@
 """Eigenvalues, Estrada index, power-series functionals, characteristic polynomial.
 
-The eigensolver is a plain cyclic Jacobi sweep written here on purpose: the
-off-diagonal Frobenius norm bounds every eigenvalue error, which gives a
-clean certified stopping rule, and the fixed sweep order keeps results
-deterministic.  numpy supplies the array storage and rotations only.
+Eigenvalues come from one tree-specific route: an O(n) sign count of
+A - xI (Jacobs & Trevisan, Linear Algebra Appl. 434 (2011) 81-88) and
+bisection on those counts.  Each eigenvalue is narrowed to a bracket of
+width at most twice the tolerance, so no iteration cap is needed.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .errors import (
     InvalidBoundsError,
@@ -33,9 +32,6 @@ __all__ = [
     "characteristic_polynomial",
     "evaluate_char_poly",
 ]
-
-_MAX_POWER_ITERATIONS = 10 ** 6
-_MAX_JACOBI_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -59,108 +55,113 @@ class Spectrum:
         return self.values[i]
 
 
-def _adjacency_matrix(t: Tree) -> np.ndarray:
-    a = np.zeros((t.n, t.n))
-    for u, v in t.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+def _rooted(t: Tree) -> tuple[list[int], list[int]]:
+    """BFS order and parent list (-1 at the root) from ``root_vertex`` or 0."""
+    root = t.root_vertex if t.root_vertex is not None else 0
+    parent = [-1] * t.n
+    order = [root]
+    for v in order:
+        for u in t.adjacency[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
-def _off_norm(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(a[mask] ** 2)))
+def _count_above(order: Sequence[int], parent: Sequence[int], x: float) -> int:
+    """Number of adjacency eigenvalues above ``x``, in O(n).
+
+    Jacobs & Trevisan, "Locating the eigenvalues of trees", diagonalize
+    A - xI from the leaves up: a(v) = -x - sum 1/a(c) over live children c.
+    If some child has a(c) = 0, that child becomes 2, v becomes -1/2 and
+    v's edge to its parent is cut.  The diagonal is congruent to A - xI, so
+    by Sylvester's law of inertia its positive entries count the eigenvalues
+    above x.
+    """
+    a = [-x] * len(order)
+    zero_child = [False] * len(order)
+    above = 0
+    for v in reversed(order):
+        p = parent[v]
+        if zero_child[v]:
+            above += 1  # the child set to 2; v itself is -1/2 and cut off
+        elif a[v] == 0.0:
+            if p >= 0:
+                zero_child[p] = True
+        else:
+            above += a[v] > 0.0
+            if p >= 0:
+                a[p] -= 1.0 / a[v]
+    return above
+
+
+def _rho_bound(t: Tree) -> float:
+    """sqrt(max_v sum_{u~v} d_u), the row-sum bound on A^2, so rho <= it."""
+    return math.sqrt(max(sum(t.degrees[u] for u in nbrs) for nbrs in t.adjacency))
+
+
+def _positive_eigenvalues(t: Tree, tol: float) -> Iterator[float]:
+    """Positive adjacency eigenvalues, non-increasing, each within ``tol``.
+
+    Bisection on sign counts over (0, 1 + rho bound]: a bracket (lo, hi]
+    holds count(lo) - count(hi) eigenvalues and is split until its width is
+    at most 2*tol, when its midpoint is within tol of each of them.
+    """
+    if tol <= 0:
+        raise InvalidBoundsError(f"tolerance must be positive, got {tol}")
+    order, parent = _rooted(t)
+    top = 1.0 + _rho_bound(t)
+    # Below one float step at the top no bracket can narrow far enough;
+    # the negated test also rejects a nan tolerance.
+    if not 2.0 * tol >= math.ulp(top):
+        raise NonConvergenceError(
+            f"tolerance {tol!r} is below float resolution {math.ulp(top):.3e} near {top}"
+        )
+    brackets = [(0.0, top, _count_above(order, parent, 0.0), 0)]
+    while brackets:
+        lo, hi, above_lo, above_hi = brackets.pop()
+        if above_lo == above_hi:
+            continue
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * tol:
+            yield from repeat(mid, above_lo - above_hi)
+            continue
+        above_mid = _count_above(order, parent, mid)
+        brackets.append((lo, mid, above_lo, above_mid))
+        brackets.append((mid, hi, above_mid, above_hi))
 
 
 def eigenvalues(t: Tree, tol: float = 1e-10) -> Spectrum:
     """All adjacency eigenvalues, each within ``tol`` of the true value.
 
-    Cyclic Jacobi: rotate away each off-diagonal entry in a fixed order
-    until the off-diagonal Frobenius norm drops below ``tol``; by Weyl's
-    inequality the diagonal then carries every eigenvalue to within ``tol``.
+    Tree spectra are symmetric about zero, so the positive eigenvalues from
+    sign-count bisection are mirrored and the rest are zeros.
     """
-    if tol <= 0:
-        raise InvalidBoundsError(f"tolerance must be positive, got {tol}")
-    n = t.n
-    a = _adjacency_matrix(t)
-    if n == 1:
-        return Spectrum((0.0,), tol)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        if _off_norm(a) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta >= 0.0:
-                    tangent = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    tangent = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(tangent * tangent + 1.0)
-                s = tangent * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - tangent * apq
-                a[q, q] = aqq + tangent * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise NonConvergenceError(
-            f"Jacobi sweep cap {_MAX_JACOBI_SWEEPS} hit at off-norm {_off_norm(a):.3e}"
-        )
-    values = tuple(sorted((float(x) for x in np.diag(a)), reverse=True))
-    return Spectrum(values, tol)
+    positive = list(_positive_eigenvalues(t, tol))
+    zeros = [0.0] * (t.n - 2 * len(positive))
+    return Spectrum(tuple(positive + zeros + [-v for v in reversed(positive)]), tol)
 
 
 def spectral_radius(t: Tree, tol: float = 1e-10) -> float:
-    """Largest adjacency eigenvalue by power iteration, within ``tol``.
-
-    Trees are bipartite, so the spectrum is symmetric and iterating with the
-    adjacency matrix itself oscillates between the +rho and -rho directions.
-    Iterating with A + I instead (primitive for connected graphs) converges
-    from the all-ones vector, and the Rayleigh quotient minus one estimates
-    rho with error bounded by the residual norm.
-    """
-    if tol <= 0:
-        raise InvalidBoundsError(f"tolerance must be positive, got {tol}")
-    if t.n == 1:
-        return 0.0
-    a = _adjacency_matrix(t)
-    x = np.ones(t.n) / math.sqrt(t.n)
-    for _ in range(_MAX_POWER_ITERATIONS):
-        y = a @ x + x
-        theta = float(x @ y)
-        residual = float(np.linalg.norm(y - theta * x))
-        if residual <= tol:
-            return theta - 1.0
-        x = y / float(np.linalg.norm(y))
-    raise NonConvergenceError(
-        f"power iteration cap {_MAX_POWER_ITERATIONS} hit at residual {residual:.3e}"
-    )
+    """Largest adjacency eigenvalue within ``tol``: the first bisected one."""
+    return next(_positive_eigenvalues(t, tol), 0.0)
 
 
-def _series_order(n: int, degree_bound: int, tol: float) -> int:
+def _series_order(n: int, rho_bound: float, tol: float) -> int:
     """Smallest K whose exp-series tail past K is provably below ``tol``.
 
-    The spectral radius is at most the maximum degree D, so the tail
-    sum_{k>K} M_k/k! is at most n * D^(K+1)/(K+1)! * e^D.
+    With the spectral radius at most ``rho_bound``, the tail
+    sum_{k>K} M_k/k! is at most n * rho_bound^(K+1)/(K+1)! * e^rho_bound.
     """
-    if degree_bound <= 0:
+    if rho_bound <= 0:
         return 0
     log_tol = math.log(tol)
     k = 0
     while True:
         log_tail = (
             math.log(n)
-            + (k + 1) * math.log(degree_bound)
-            + degree_bound
+            + (k + 1) * math.log(rho_bound)
+            + rho_bound
             - math.lgamma(k + 2)
         )
         if log_tail < log_tol:
@@ -171,16 +172,17 @@ def _series_order(n: int, degree_bound: int, tol: float) -> int:
 def estrada_index(t: Tree, tol: float = 1e-8) -> float:
     """Sum of e^lambda over the adjacency spectrum, cross-checked two ways.
 
-    Route one exponentiates the Jacobi eigenvalues; route two sums the
+    Route one exponentiates the bisected eigenvalues; route two sums the
     truncated series sum_k M_k/k! with exact integer moments and a tail
-    bound below ``tol``.  If the routes disagree by more than 10*tol the
+    bound below ``tol``.  The series order comes from degrees alone, so the
+    two routes share no code.  If they disagree by more than 10*tol the
     computation refuses to pick one.
     """
     if tol <= 0:
         raise InvalidBoundsError(f"tolerance must be positive, got {tol}")
     spec = eigenvalues(t, min(1e-12, tol))
     by_eigen = math.fsum(math.exp(v) for v in spec.values)
-    order = _series_order(t.n, max(t.degrees) if t.n > 1 else 0, tol)
+    order = _series_order(t.n, _rho_bound(t), tol)
     moments = spectral_moments_up_to(t, order)
     acc = Fraction(0)
     fact = 1
@@ -265,17 +267,7 @@ def characteristic_polynomial(t: Tree) -> tuple[int, ...]:
 
     A leaf has p = x, q = 1.  The root's p is the characteristic polynomial.
     """
-    root = t.root_vertex if t.root_vertex is not None else 0
-    parent = {root: -1}
-    order = [root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for u in t.adjacency[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    order, parent = _rooted(t)
     p: dict[int, list[int]] = {}
     q: dict[int, list[int]] = {}
     for v in reversed(order):
@@ -300,7 +292,7 @@ def characteristic_polynomial(t: Tree) -> tuple[int, ...]:
                 pv[j] -= coef
         p[v] = pv
         q[v] = full
-    return tuple(p[root])
+    return tuple(p[order[0]])
 
 
 def evaluate_char_poly(coefficients: Sequence[int], x: float) -> float:

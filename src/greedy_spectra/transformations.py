@@ -116,10 +116,6 @@ def midpoint_root(t: Tree, u: int, v: int):
     return ("edge", (min(a, b), max(a, b)))
 
 
-def _coerce(d) -> DegreeSequence:
-    return d if isinstance(d, DegreeSequence) else validate_degree_sequence(d)
-
-
 def majorization_step(b, d) -> DegreeSequence:
     """One step from ``b`` toward ``d``: raise the first differing entry,
     lower the last one.
@@ -127,7 +123,7 @@ def majorization_step(b, d) -> DegreeSequence:
     Requires ``d`` to majorize ``b``.  The result is again a tree degree
     sequence majorized by ``d`` and majorizing ``b``.
     """
-    bs, ds = _coerce(b), _coerce(d)
+    bs, ds = validate_degree_sequence(b), validate_degree_sequence(d)
     if not majorizes(ds, bs):
         raise NotMajorizedError(f"{ds} does not majorize {bs}")
     if bs.degrees == ds.degrees:
@@ -142,7 +138,7 @@ def majorization_step(b, d) -> DegreeSequence:
 
 def majorization_chain(b, d) -> list[DegreeSequence]:
     """Chain b = c_0, c_1, ..., c_m = d of single majorization steps."""
-    bs, ds = _coerce(b), _coerce(d)
+    bs, ds = validate_degree_sequence(b), validate_degree_sequence(d)
     if not majorizes(ds, bs):
         raise NotMajorizedError(f"{ds} does not majorize {bs}")
     chain = [bs]

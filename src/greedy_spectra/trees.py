@@ -276,7 +276,7 @@ def build_greedy_tree(d: DegreeSequence | Iterable[int]) -> Tree:
     earlier vertices first, which makes the result level greedy seen from
     every vertex and every edge.
     """
-    ds = d if isinstance(d, DegreeSequence) else validate_degree_sequence(d)
+    ds = validate_degree_sequence(d)
     if ds.is_degenerate:
         return Tree(1, (), root_vertex=0)
     return build_level_greedy_tree(_levels_from_degrees(ds.degrees))
@@ -446,20 +446,29 @@ def tree_to_dict(t: Tree) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    # bool is a subclass of int, but true is not vertex 1
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{value!r} is not an integer")
+
+
+def _json_pair(value) -> tuple[int, int]:
+    u, v = value
+    return _json_int(u), _json_int(v)
+
+
 def tree_from_dict(obj: dict) -> Tree:
+    """Inverse of ``tree_to_dict``; n, vertex ids and roots must be integers."""
     try:
-        n = int(obj["n"])
-        edges = tuple((int(u), int(v)) for u, v in obj["edges"])
+        n = _json_int(obj["n"])
+        edges = tuple(_json_pair(e) for e in obj["edges"])
+        rv, re_ = obj.get("root_vertex"), obj.get("root_edge")
+        root_vertex = _json_int(rv) if rv is not None else None
+        root_edge = _json_pair(re_) if re_ is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise NotRealizableError(f"malformed tree object: {exc}") from exc
-    rv = obj.get("root_vertex")
-    re_ = obj.get("root_edge")
-    return Tree(
-        n,
-        edges,
-        root_vertex=int(rv) if rv is not None else None,
-        root_edge=(int(re_[0]), int(re_[1])) if re_ is not None else None,
-    )
+    return Tree(n, edges, root_vertex=root_vertex, root_edge=root_edge)
 
 
 def to_json(t: Tree) -> str:

@@ -154,9 +154,18 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert json.loads(out)["counterexample"] == {"k": 4}
 
 
-def test_invalid_input_exits_2(capsys):
+def test_invalid_input_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "greedy", "3,3,3")
     assert code == 2 and out == "" and "error:" in err
+    for root in (
+        '"root_edge": [0]',
+        '"root_edge": 5',
+        '"root_vertex": "x"',
+        '"root_vertex": true',
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 2, "edges": [[0, 1]], %s}' % root))
+        code, out, err = run(capsys, "export")
+        assert code == 2 and out == "" and "error:" in err
     code, _, err = run(capsys, "moments", "no-such-file.json", "--k", "4")
     assert code == 2 and "error:" in err
     code, _, err = run(

@@ -1,14 +1,20 @@
 """Eigenvalues, Estrada index, functionals, and the characteristic polynomial."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
+import greedy_spectra
 from greedy_spectra import (
     InvalidBoundsError,
+    NonConvergenceError,
     PowerSeriesFunctional,
     Tree,
     build_greedy_tree,
@@ -85,7 +91,7 @@ def test_eigenvalues_match_numpy_exhaustively():
 def test_eigenvalues_match_numpy_random_larger():
     rng = random.Random(61)
     for _ in range(12):
-        t = random_tree(rng, rng.randint(11, 18))
+        t = random_tree(rng, rng.randint(11, 120))
         ours = eigenvalues(t, tol=1e-10).values
         ref = sorted(np.linalg.eigvalsh(np.array(adjacency_matrix(t), float)),
                      reverse=True)
@@ -132,6 +138,26 @@ def test_radius_agrees_with_jacobi():
     for _ in range(15):
         t = random_tree(rng, rng.randint(2, 14))
         assert abs(spectral_radius(t, 1e-11) - eigenvalues(t).radius) <= 2e-10
+
+
+def test_radius_of_a_caterpillar_with_a_small_eigenvalue_gap():
+    # 196 vertices, leaves hung on random spine vertices: the top two
+    # eigenvalues are close, which once stalled power iteration
+    rng = random.Random(7966)
+    spine = rng.randint(65, 130)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(v, rng.randrange(spine)) for v in range(spine, 196)]
+    t = Tree(196, tuple(edges))
+    ref = max(np.linalg.eigvalsh(np.array(adjacency_matrix(t), float)))
+    assert abs(spectral_radius(t) - ref) <= 1e-10
+
+
+def test_tolerance_below_float_resolution_is_refused():
+    for tol in (1e-300, 1e-17, float("nan")):
+        with pytest.raises(NonConvergenceError):
+            spectral_radius(P4, tol)
+        with pytest.raises(NonConvergenceError):
+            eigenvalues(P4, tol)
 
 
 def test_normalized_moment_means_increase_to_the_radius():
@@ -280,3 +306,17 @@ def test_log_char_poly_expands_into_moments():
         ratio = rho / x if rho > 0 else 0.0
         tail = (t.n / (kmax + 1)) * ratio ** (kmax + 1) / (1.0 - ratio)
         assert abs(lhs - rhs) <= tail + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# packaging
+
+
+def test_package_imports_without_numpy():
+    src = str(Path(greedy_spectra.__file__).resolve().parents[1])
+    code = "import sys, greedy_spectra, greedy_spectra.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

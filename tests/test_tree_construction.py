@@ -476,7 +476,15 @@ def test_tree_dict_shape():
 
 
 def test_from_json_rejects_malformed_payloads():
-    for text in ("{}", '{"n": 2}', '{"n": 2, "edges": [[0, 1], [1, 0]]}', "[]"):
+    for text in (
+        "{}",
+        '{"n": 2}',
+        '{"n": 2, "edges": [[0, 1], [1, 0]]}',
+        "[]",
+        '{"n": 2, "edges": [[0, true]]}',
+        '{"n": 2, "edges": [[0, 1.5]]}',
+        '{"n": "2", "edges": [[0, 1]]}',
+    ):
         with pytest.raises((NotRealizableError, InvalidBoundsError)):
             from_json(text)
 
