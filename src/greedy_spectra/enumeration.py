@@ -11,6 +11,7 @@ carries its counterexample.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -433,6 +434,12 @@ def verify_spectral_corollaries(
     points right of its spectral radius.
     """
     started = time.perf_counter()
+    # nan fails every comparison, so it is refused here too
+    if not (0 < tol < math.inf and 0 < strict_tol < math.inf and 0 <= x_margin < math.inf):
+        raise InvalidBoundsError(
+            f"need finite tol > 0, strict_tol > 0 and x_margin >= 0, "
+            f"got {tol}, {strict_tol} and {x_margin}"
+        )
     ds = validate_degree_sequence(d)
     greedy = build_greedy_tree(ds)
     gcode = canonical_code(greedy, ignore_root=True)

@@ -19,7 +19,7 @@ from .errors import (
     MethodDisagreementError,
     NonConvergenceError,
 )
-from .trees import Tree
+from .trees import Tree, _bfs
 from .walks import spectral_moments_up_to
 
 __all__ = [
@@ -53,19 +53,6 @@ class Spectrum:
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
-
-
-def _rooted(t: Tree) -> tuple[list[int], list[int]]:
-    """BFS order and parent list (-1 at the root) from ``root_vertex`` or 0."""
-    root = t.root_vertex if t.root_vertex is not None else 0
-    parent = [-1] * t.n
-    order = [root]
-    for v in order:
-        for u in t.adjacency[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    return order, parent
 
 
 def _count_above(order: Sequence[int], parent: Sequence[int], x: float) -> int:
@@ -107,9 +94,9 @@ def _positive_eigenvalues(t: Tree, tol: float) -> Iterator[float]:
     holds count(lo) - count(hi) eigenvalues and is split until its width is
     at most 2*tol, when its midpoint is within tol of each of them.
     """
-    if tol <= 0:
-        raise InvalidBoundsError(f"tolerance must be positive, got {tol}")
-    order, parent = _rooted(t)
+    if tol <= 0 or tol == math.inf:
+        raise InvalidBoundsError(f"tolerance must be positive and finite, got {tol}")
+    order, parent, _ = _bfs(t.adjacency, (t.root_vertex or 0,))
     top = 1.0 + _rho_bound(t)
     # Below one float step at the top no bracket can narrow far enough;
     # the negated test also rejects a nan tolerance.
@@ -178,8 +165,8 @@ def estrada_index(t: Tree, tol: float = 1e-8) -> float:
     two routes share no code.  If they disagree by more than 10*tol the
     computation refuses to pick one.
     """
-    if tol <= 0:
-        raise InvalidBoundsError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidBoundsError(f"tolerance must be positive and finite, got {tol}")
     spec = eigenvalues(t, min(1e-12, tol))
     by_eigen = math.fsum(math.exp(v) for v in spec.values)
     order = _series_order(t.n, _rho_bound(t), tol)
@@ -267,7 +254,7 @@ def characteristic_polynomial(t: Tree) -> tuple[int, ...]:
 
     A leaf has p = x, q = 1.  The root's p is the characteristic polynomial.
     """
-    order, parent = _rooted(t)
+    order, parent, _ = _bfs(t.adjacency, (0,))
     p: dict[int, list[int]] = {}
     q: dict[int, list[int]] = {}
     for v in reversed(order):

@@ -20,7 +20,7 @@ from .degree_sequences import (
     validate_degree_sequence,
 )
 from .errors import AlreadyEqualError, InvalidMoveError, NotMajorizedError
-from .trees import Tree, is_greedy_labeled
+from .trees import Tree, _bfs, _middle, is_greedy_labeled
 
 __all__ = [
     "BranchMove",
@@ -97,23 +97,8 @@ def midpoint_root(t: Tree, u: int, v: int):
     for x in (u, v):
         if not 0 <= x < t.n:
             raise InvalidMoveError(f"vertex {x} not in 0..{t.n - 1}")
-    parent: dict[int, int] = {u: -1}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in t.adjacency[w]:
-            if x not in parent:
-                parent[x] = w
-                stack.append(x)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    mid, rem = divmod(len(path) - 1, 2)
-    if rem == 0:
-        return ("vertex", path[mid])
-    a, b = path[mid], path[mid + 1]
-    return ("edge", (min(a, b), max(a, b)))
+    mid = _middle(_bfs(t.adjacency, (u,))[1], u, v)
+    return ("vertex", mid[0]) if len(mid) == 1 else ("edge", mid)
 
 
 def majorization_step(b, d) -> DegreeSequence:

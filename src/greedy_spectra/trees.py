@@ -10,9 +10,9 @@ on an earlier level.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .degree_sequences import (
@@ -122,13 +122,8 @@ class Tree:
     @cached_property
     def levels(self) -> tuple[int, ...]:
         """1-based level of every vertex; requires a root."""
-        if self.root_vertex is not None:
-            roots = (self.root_vertex,)
-        elif self.root_edge is not None:
-            roots = self.root_edge
-        else:
-            raise RootNotInTreeError("tree has no root; levels are undefined")
-        return _bfs_levels(self.adjacency, roots)
+        _, roots = _resolve_root(self, None)
+        return tuple(_bfs(self.adjacency, roots)[2])
 
     @property
     def height(self) -> int:
@@ -159,21 +154,49 @@ class Forest:
         return len(self.components)
 
 
-def _bfs_levels(adj: Sequence[Sequence[int]], roots: Iterable[int]) -> tuple[int, ...]:
+def _bfs(
+    adj: Sequence[Sequence[int]], roots: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order, parent (-1 at a root) and 1-based level per vertex.
+
+    ``roots`` is one vertex, or both ends of a root edge: those sit on level
+    1 and each hangs its own side, so the root edge itself is never walked.
+    Every traversal of a tree in the package goes through here.
+    """
+    parent = [-1] * len(adj)
     level = [0] * len(adj)
-    queue: deque[int] = deque()
-    for r in roots:
+    order = list(roots)
+    for r in order:
         level[r] = 1
-        queue.append(r)
-    while queue:
-        v = queue.popleft()
+    for v in order:
         for u in adj[v]:
-            if level[u] == 0:
+            if not level[u]:
+                parent[u] = v
                 level[u] = level[v] + 1
-                queue.append(u)
-    if any(l == 0 for l in level):
-        raise NotRealizableError("graph is not connected")
-    return tuple(level)
+                order.append(u)
+    return order, parent, level
+
+
+def _middle(parent: Sequence[int], u: int, v: int) -> tuple[int, ...]:
+    """Middle vertex, or sorted middle edge, of the u-v path.
+
+    ``parent`` comes from a traversal rooted at ``u``.
+    """
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    mid, rem = divmod(len(path) - 1, 2)
+    return tuple(sorted(path[mid:mid + 1 + rem]))
+
+
+def _degrees_by_level(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Degrees grouped by their 1-based level, each level non-increasing."""
+    by_level: dict[int, list[int]] = {}
+    for h, deg in pairs:
+        by_level.setdefault(h, []).append(deg)
+    return tuple(
+        tuple(sorted(by_level[h], reverse=True)) for h in range(1, len(by_level) + 1)
+    )
 
 
 def _greedy_edge_list(levels: Sequence[Sequence[int]], roots_keep_full_degree: bool) -> list[tuple[int, int]]:
@@ -182,6 +205,7 @@ def _greedy_edge_list(levels: Sequence[Sequence[int]], roots_keep_full_degree: b
     Vertex ids are level-major: level 1 gets 0..k1-1, level 2 the next k2
     ids, and so on.  Children of the j-th vertex on a level follow the
     children of vertices 1..j-1, which is exactly the greedy labeling.
+    Each (parent, child) edge comes after the edge that reaches the parent.
     """
     sizes = [len(lvl) for lvl in levels]
     offsets = [0]
@@ -207,30 +231,21 @@ def build_level_greedy_forest(ld: LeveledDegreeSequence) -> Forest:
     """
     if ld.root_kind != "vertex":
         raise InvalidBoundsError("expected a vertex-rooted leveled degree sequence")
-    n = ld.n
     edges = _greedy_edge_list(ld.levels, roots_keep_full_degree=True)
-    adj: list[list[int]] = [[] for _ in range(n)]
+    # parents come before their children, so one pass labels the components
+    comp = list(range(ld.root_count)) + [0] * (ld.n - ld.root_count)
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    components: list[Tree] = []
-    for root in range(ld.root_count):
-        comp = [root]
-        stack = [root]
-        seen = {root}
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comp.sort()
-        relabel = {old: new for new, old in enumerate(comp)}
-        comp_edges = tuple(
-            (relabel[u], relabel[v]) for u, v in edges if u in seen and v in seen
-        )
-        components.append(Tree(len(comp), comp_edges, root_vertex=0))
+        comp[v] = comp[u]
+    # ids within a component keep their order, so greedy label order holds
+    size = [0] * ld.root_count
+    label = []
+    for c in comp:
+        label.append(size[c])
+        size[c] += 1
+    comp_edges: list[list[tuple[int, int]]] = [[] for _ in size]
+    for u, v in edges:
+        comp_edges[comp[u]].append((label[u], label[v]))
+    components = (Tree(k, tuple(es), root_vertex=0) for k, es in zip(size, comp_edges))
     return Forest(tuple(components))
 
 
@@ -312,71 +327,38 @@ def leveled_degree_sequence(t: Tree, root=None) -> LeveledDegreeSequence:
     root.
     """
     kind, roots = _resolve_root(t, root)
-    level = _bfs_levels(t.adjacency, roots)
-    by_level: dict[int, list[int]] = {}
-    for v in range(t.n):
-        by_level.setdefault(level[v], []).append(t.degrees[v])
-    lvls = tuple(
-        tuple(sorted(by_level[h], reverse=True)) for h in range(1, max(level) + 1)
-    )
-    return LeveledDegreeSequence(lvls, kind)
+    level = _bfs(t.adjacency, roots)[2]
+    return LeveledDegreeSequence(_degrees_by_level(zip(level, t.degrees)), kind)
 
 
 def forest_leveled_degree_sequence(f: Forest) -> LeveledDegreeSequence:
     """Merged leveled degree sequence of a rooted forest (levels pooled, sorted)."""
-    by_level: dict[int, list[int]] = {}
-    for t in f.components:
-        for v in range(t.n):
-            by_level.setdefault(t.levels[v], []).append(t.degrees[v])
-    lvls = tuple(
-        tuple(sorted(by_level[h], reverse=True)) for h in range(1, max(by_level) + 1)
-    )
-    return LeveledDegreeSequence(lvls, "vertex")
+    pairs = chain.from_iterable(zip(c.levels, c.degrees) for c in f.components)
+    return LeveledDegreeSequence(_degrees_by_level(pairs), "vertex")
 
 
-def _subtree_codes(adj: Sequence[Sequence[int]], root: int, banned: int | None) -> bytes:
-    """Canonical code of the subtree hanging from ``root`` away from ``banned``.
+def _subtree_codes(adj: Sequence[Sequence[int]], roots: Sequence[int]) -> list[bytes]:
+    """Canonical code of the subtree each root hangs, one per root.
 
     Classic bottom-up scheme: the code of a vertex is "(" + the sorted
     concatenation of its children's codes + ")".  Iterative so deep paths do
     not hit the recursion limit.
     """
-    parent = {root: banned}
-    order = [root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    code: dict[int, bytes] = {}
+    order, parent, _ = _bfs(adj, roots)
+    kids: list[list[bytes]] = [[] for _ in adj]
+    code: list[bytes] = [b""] * len(adj)
     for v in reversed(order):
-        kids = sorted(code[u] for u in adj[v] if u != parent[v])
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
+        code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
+        if parent[v] >= 0:
+            kids[parent[v]].append(code[v])
+    return [code[r] for r in roots]
 
 
 def centers(t: Tree) -> tuple[int, ...]:
-    """The one or two middle vertices left by repeatedly stripping leaves."""
-    if t.n <= 2:
-        return tuple(range(t.n))
-    deg = list(t.degrees)
-    remaining = t.n
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for u in t.adjacency[v]:
-                if deg[u] > 0:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return tuple(sorted(layer))
+    """The one or two middle vertices of a longest path."""
+    far = _bfs(t.adjacency, (0,))[0][-1]
+    order, parent, _ = _bfs(t.adjacency, (far,))
+    return _middle(parent, far, order[-1])
 
 
 def canonical_code(t: Tree, *, ignore_root: bool = False) -> bytes:
@@ -386,19 +368,12 @@ def canonical_code(t: Tree, *, ignore_root: bool = False) -> bytes:
     trees from both sides of the root edge (prefix ``E``), unrooted trees
     from their center or bicentral edge.
     """
-    adj = t.adjacency
-    if not ignore_root and t.root_vertex is not None:
-        return b"V" + _subtree_codes(adj, t.root_vertex, None)
-    if not ignore_root and t.root_edge is not None:
-        u, v = t.root_edge
-        sides = sorted([_subtree_codes(adj, u, v), _subtree_codes(adj, v, u)])
-        return b"E" + b"".join(sides)
-    c = centers(t)
-    if len(c) == 1:
-        return b"V" + _subtree_codes(adj, c[0], None)
-    u, v = c
-    sides = sorted([_subtree_codes(adj, u, v), _subtree_codes(adj, v, u)])
-    return b"E" + b"".join(sides)
+    if ignore_root or not t.is_rooted:
+        roots = centers(t)
+    else:
+        _, roots = _resolve_root(t, None)
+    prefix = b"V" if len(roots) == 1 else b"E"
+    return prefix + b"".join(sorted(_subtree_codes(t.adjacency, roots)))
 
 
 def is_isomorphic(t1: Tree, t2: Tree, *, ignore_roots: bool = False) -> bool:

@@ -102,6 +102,23 @@ def _adjacency_step(adj: Sequence[Sequence[int]], vec: list[int]) -> list[int]:
     return [sum(vec[u] for u in nbrs) for nbrs in adj]
 
 
+def _propagate(t: Tree, vec: list[int], steps: int | Sequence[int]) -> list[int]:
+    """Push the counting vector ``vec`` along walk steps.
+
+    ``steps`` is a step count, or the levels the walk must be on after each
+    step; counts that land on any other level are dropped.
+    """
+    if isinstance(steps, int):
+        for _ in range(steps):
+            vec = _adjacency_step(t.adjacency, vec)
+        return vec
+    level = t.levels
+    for h in steps:
+        vec = _adjacency_step(t.adjacency, vec)
+        vec = [c if level[v] == h else 0 for v, c in enumerate(vec)]
+    return vec
+
+
 def spectral_moment(t: Tree, k: int) -> int:
     """Number of closed k-walks of the tree (the k-th spectral moment)."""
     if k < 0:
@@ -129,10 +146,7 @@ def total_walks(t: Tree, k: int) -> int:
     """Number of walks with exactly k steps, over all start vertices."""
     if k < 0:
         raise InvalidBoundsError(f"walk length must be >= 0, got {k}")
-    vec = [1] * t.n
-    for _ in range(k):
-        vec = _adjacency_step(t.adjacency, vec)
-    return sum(vec)
+    return sum(_propagate(t, [1] * t.n, k))
 
 
 def _coerce_ls(ls) -> LevelSequence:
@@ -146,38 +160,26 @@ def walks_by_level_sequence(t: Tree, ls) -> dict[int, int]:
     over the vertices on level ``ls[0]``: vertex -> number of walks that
     start there and visit the prescribed levels in order.
     """
-    ls = _coerce_ls(ls)
+    profile = _coerce_ls(ls).levels
     level = t.levels
-    adj = t.adjacency
-    profile = ls.levels
     # Backward propagation: vec[v] = walks from v realizing the profile suffix.
-    vec = [1 if level[v] == profile[-1] else 0 for v in range(t.n)]
-    for pos in range(len(profile) - 2, -1, -1):
-        nxt = _adjacency_step(adj, vec)
-        vec = [nxt[v] if level[v] == profile[pos] else 0 for v in range(t.n)]
+    vec = _propagate(t, [int(h == profile[-1]) for h in level], profile[-2::-1])
     return {v: vec[v] for v in range(t.n) if level[v] == profile[0]}
 
 
 def closed_walks_by_level_sequence(t: Tree, ls) -> dict[int, int]:
     """Count closed walks following ``ls`` (first level = last level), per vertex."""
-    ls = _coerce_ls(ls)
-    profile = ls.levels
+    profile = _coerce_ls(ls).levels
     if profile[0] != profile[-1]:
         raise LevelMismatchError(
             f"closed walks need equal first and last level, got {profile[0]} != {profile[-1]}"
         )
     level = t.levels
-    adj = t.adjacency
-    starts = [v for v in range(t.n) if level[v] == profile[0]]
-    out: dict[int, int] = {}
-    for s in starts:
-        vec = [0] * t.n
-        vec[s] = 1
-        for pos in range(1, len(profile)):
-            nxt = _adjacency_step(adj, vec)
-            vec = [nxt[v] if level[v] == profile[pos] else 0 for v in range(t.n)]
-        out[s] = vec[s]
-    return out
+    return {
+        s: _propagate(t, [int(v == s) for v in range(t.n)], profile[1:])[s]
+        for s in range(t.n)
+        if level[s] == profile[0]
+    }
 
 
 def closed_walks_from_directed_edge(t: Tree, u: int, v: int, k: int) -> int:
@@ -193,11 +195,7 @@ def closed_walks_from_directed_edge(t: Tree, u: int, v: int, k: int) -> int:
         raise NotAnEdgeError(f"({u},{v}) is not an edge of the tree")
     if k == 0:
         return 0
-    vec = [0] * t.n
-    vec[v] = 1
-    for _ in range(k - 1):
-        vec = _adjacency_step(t.adjacency, vec)
-    return vec[u]
+    return _propagate(t, [int(w == v) for w in range(t.n)], k - 1)[u]
 
 
 def first_strict_difference(t1: Tree, t2: Tree, k_max: int) -> int | None:

@@ -173,6 +173,9 @@ def test_invalid_input_exits_2(capsys, monkeypatch):
         "verify", "majorization", "4,2,2,2,1,1,1,1", "3,3,3,1,1,1,1,1", "--k", "8",
     )
     assert code == 2 and "majorize" in err
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "verify", "corollaries", "3,2,2,1,1,1", "--tol", tol)
+        assert code == 2 and out == "" and "error:" in err
 
 
 def test_cap_exit_3(capsys, monkeypatch):

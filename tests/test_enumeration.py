@@ -221,6 +221,16 @@ def test_verify_spectral_corollaries():
     assert lonely.status == "pass"
     assert lonely.stats["min_radius_gap"] is None
 
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"tol": nan}, {"tol": inf}, {"tol": -1.0}, {"tol": 0.0},
+        {"strict_tol": nan}, {"strict_tol": inf}, {"strict_tol": 0.0},
+        {"x_margin": nan}, {"x_margin": inf}, {"x_margin": -1.0},
+    ):
+        with pytest.raises(InvalidBoundsError):
+            verify_spectral_corollaries((3, 2, 2, 1, 1, 1), **bad)
+    assert verify_spectral_corollaries((3, 2, 2, 1, 1, 1), x_margin=0.0).status == "pass"
+
 
 # ---------------------------------------------------------------------------
 # the equal-moments pair

@@ -26,6 +26,7 @@ from greedy_spectra import (
     is_greedy_labeled,
     is_isomorphic,
     leveled_degree_sequence,
+    midpoint_root,
     to_dot,
     to_json,
     tree_degree_sequences,
@@ -337,12 +338,14 @@ def _relabel(t, perm):
 def test_canonical_code_is_relabeling_invariant():
     rng = random.Random(31)
     for _ in range(60):
-        t = random_tree(rng, rng.randint(2, 10))
+        t = random_tree(rng, rng.randint(2, 200))
         perm = list(range(t.n))
         rng.shuffle(perm)
         assert canonical_code(t) == canonical_code(_relabel(t, perm))
         rooted = Tree(t.n, t.edges, root_vertex=rng.randrange(t.n))
         assert canonical_code(rooted) == canonical_code(_relabel(rooted, perm))
+        edge_rooted = Tree(t.n, t.edges, root_edge=rng.choice(t.edges))
+        assert canonical_code(edge_rooted) == canonical_code(_relabel(edge_rooted, perm))
 
 
 def test_canonical_code_respects_roots_unless_ignored():
@@ -368,12 +371,46 @@ def test_is_isomorphic_examples():
     )
 
 
+def _eccentricity(t, v):
+    """Largest distance from v, by expanding distance layers until none is left."""
+    seen, layer, ecc = {v}, [v], -1
+    while layer:
+        ecc += 1
+        layer = [u for w in layer for u in t.adjacency[w] if u not in seen]
+        seen.update(layer)
+    return ecc
+
+
 def test_centers():
     assert centers(_path(4)) == (1, 2)
     assert centers(_path(5)) == (2,)
     assert centers(Tree(4, ((0, 1), (0, 2), (0, 3)))) == (0,)
     assert centers(_path(2)) == (0, 1)
     assert centers(Tree(1, ())) == (0,)
+    rng = random.Random(37)
+    for _ in range(150):
+        t = random_tree(rng, rng.randint(2, 60))
+        ecc = [_eccentricity(t, v) for v in range(t.n)]
+        assert centers(t) == tuple(v for v in range(t.n) if ecc[v] == min(ecc))
+
+
+def test_deep_path_needs_no_recursion():
+    # 5000 levels: any recursive walk would pass the default recursion limit
+    n = 5000
+    mid = (n // 2 - 1, n // 2)
+    t = _path(n)
+    end_rooted = _path(n, root_vertex=0)
+    mid_rooted = _path(n, root_edge=mid)
+    half = b"(" * (n // 2) + b")" * (n // 2)
+    assert end_rooted.levels == tuple(range(1, n + 1))
+    assert mid_rooted.levels == tuple(range(n // 2, 0, -1)) + tuple(range(1, n // 2 + 1))
+    assert canonical_code(end_rooted) == b"V" + b"(" * n + b")" * n
+    assert canonical_code(mid_rooted) == canonical_code(t) == b"E" + half + half
+    assert centers(t) == mid
+    assert midpoint_root(t, 0, n - 1) == ("edge", mid)
+    assert midpoint_root(t, 0, n - 2) == ("vertex", n // 2 - 1)
+    assert leveled_degree_sequence(t, 0).levels == ((1,),) + ((2,),) * (n - 2) + ((1,),)
+    assert leveled_degree_sequence(mid_rooted).levels == ((2, 2),) * (n // 2 - 1) + ((1, 1),)
 
 
 # ---------------------------------------------------------------------------
