@@ -117,13 +117,10 @@ def _load_tree(args):
                 f"{source} is neither a readable file nor a degree sequence"
             ) from None
         return build_greedy_tree(d)
-    if source in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise NotRealizableError(f"cannot read tree file {source}: {exc}") from exc
+    try:
+        text = sys.stdin.read() if source in (None, "-") else Path(source).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NotRealizableError(f"cannot read tree file {source or '-'}: {exc}") from exc
     if not text.strip():
         raise NotRealizableError("no tree given: pass a file, --degseq, or JSON on stdin")
     return from_json(text)
@@ -209,7 +206,8 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GreedySpectraError as exc:
+    except (GreedySpectraError, OverflowError) as exc:
+        # OverflowError: an integer argument too large for a size or index
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from typing import Iterator
 
@@ -253,6 +253,59 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing))
 
 
+def _first_excess(a, b) -> int | None:
+    """The first k with a[k] > b[k], or None."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x > y), None)
+
+
+def _sweep(claim: str, stop: bool = True):
+    """Turn a verifier's setup into a timed sweep that returns its report.
+
+    The decorated function validates its arguments, builds the extremal tree
+    and returns ``(instance, best, trees, judge, stats)``.  Every competitor
+    in ``trees`` that is not isomorphic to ``best`` goes to ``judge``, which
+    returns a counterexample dict or None.  The first counterexample fails
+    the claim and, if ``stop``, ends the sweep.  ``stats(status, enumerated)``
+    gives the verifier's own stats; a nonzero ``ties`` among them turns a
+    pass into ``pass-with-ties``.  ``elapsed_s`` covers the whole call.
+    """
+
+    def decorate(setup):
+        @wraps(setup)
+        def verify(*args, **kwargs) -> VerificationReport:
+            started = time.perf_counter()
+            instance, best, trees, judge, stats = setup(*args, **kwargs)
+            witness = canonical_code(best, ignore_root=True)
+            counterexample = None
+            enumerated = 0
+            for tree in trees:
+                enumerated += 1
+                if canonical_code(tree, ignore_root=True) == witness:
+                    continue
+                found = judge(tree)
+                counterexample = counterexample or found
+                if counterexample and stop:
+                    break
+            status = "fail" if counterexample else "pass"
+            summary = stats(status, enumerated)
+            if status == "pass" and summary.get("ties"):
+                status = "pass-with-ties"
+            summary["elapsed_s"] = time.perf_counter() - started
+            return VerificationReport(
+                claim=claim,
+                instance=instance,
+                status=status,
+                witness=witness.decode("ascii"),
+                counterexample=counterexample,
+                stats=summary,
+            )
+
+        return verify
+
+    return decorate
+
+
+@_sweep("greedy_tree_maximizes_moments")
 def verify_greedy_maximality(d, k_max: int, cap: int | None = None) -> VerificationReport:
     """Check that the greedy tree attains every moment maximum in its class.
 
@@ -260,108 +313,76 @@ def verify_greedy_maximality(d, k_max: int, cap: int | None = None) -> Verificat
     greedy tree is strictly ahead; competitors that tie everywhere up to
     k_max turn the status into ``pass-with-ties``.
     """
-    started = time.perf_counter()
     ds = validate_degree_sequence(d)
     greedy = build_greedy_tree(ds)
     gm = spectral_moments_up_to(greedy, k_max)
-    gcode = canonical_code(greedy, ignore_root=True)
-    counterexample = None
-    ties = 0
-    enumerated = 0
-    histogram: dict[int, int] = {}
-    for tree in enumerate_trees(ds, cap):
-        enumerated += 1
-        if canonical_code(tree) == gcode:
-            continue
+    firsts: dict[int | None, int] = {}  # competitors per first strict k; None: ties
+
+    def judge(tree: Tree) -> dict | None:
         tm = spectral_moments_up_to(tree, k_max)
-        first_strict = None
-        for k in range(k_max + 1):
-            if tm[k] > gm[k]:
-                counterexample = {
-                    "tree": tree_to_dict(tree),
-                    "k": k,
-                    "moment": str(tm[k]),
-                    "greedy_moment": str(gm[k]),
-                }
-                break
-            if first_strict is None and gm[k] > tm[k]:
-                first_strict = k
-        if counterexample is not None:
-            break
-        if first_strict is None:
-            ties += 1
-        else:
-            histogram[first_strict] = histogram.get(first_strict, 0) + 1
-    status = "fail" if counterexample else ("pass-with-ties" if ties else "pass")
-    return VerificationReport(
-        claim="greedy_tree_maximizes_moments",
-        instance={"degree_sequence": format_degree_sequence(ds), "k_max": k_max},
-        status=status,
-        witness=gcode.decode("ascii"),
-        counterexample=counterexample,
-        stats={
+        k = _first_excess(tm, gm)
+        if k is not None:
+            return {
+                "tree": tree_to_dict(tree),
+                "k": k,
+                "moment": str(tm[k]),
+                "greedy_moment": str(gm[k]),
+            }
+        first = _first_excess(gm, tm)
+        firsts[first] = firsts.get(first, 0) + 1
+        return None
+
+    def stats(status: str, enumerated: int) -> dict:
+        ties = firsts.pop(None, 0)
+        return {
             "trees_enumerated": enumerated,
             "ties": ties,
-            "first_strict_k": {str(k): histogram[k] for k in sorted(histogram)},
-            "elapsed_s": time.perf_counter() - started,
-        },
-    )
+            "first_strict_k": {str(k): firsts[k] for k in sorted(firsts)},
+        }
+
+    instance = {"degree_sequence": format_degree_sequence(ds), "k_max": k_max}
+    return instance, greedy, enumerate_trees(ds, cap), judge, stats
 
 
+@_sweep("majorization_lifts_moments")
 def verify_majorization_monotonicity(b, d, k_max: int) -> VerificationReport:
     """Check that moments of greedy trees respect majorization of sequences.
 
     Requires d to majorize b.  For b != d the even moments from k = 4 on
     must be strictly larger on the d side.
     """
-    started = time.perf_counter()
     bs, ds = validate_degree_sequence(b), validate_degree_sequence(d)
     if not majorizes(ds, bs):
         raise NotMajorizedError(f"{ds} does not majorize {bs}")
     gb = build_greedy_tree(bs)
     gd = build_greedy_tree(ds)
-    mb = spectral_moments_up_to(gb, k_max)
     md = spectral_moments_up_to(gd, k_max)
-    equal = bs.degrees == ds.degrees
-    counterexample = None
-    first_strict = None
-    for k in range(k_max + 1):
-        if mb[k] > md[k]:
-            counterexample = {
-                "k": k,
-                "moment_b": str(mb[k]),
-                "moment_d": str(md[k]),
-                "violated": "inequality",
-            }
-            break
-        if not equal and k >= 4 and k % 2 == 0 and mb[k] == md[k]:
-            counterexample = {
-                "k": k,
-                "moment_b": str(mb[k]),
-                "moment_d": str(md[k]),
-                "violated": "strictness",
-            }
-            break
-        if first_strict is None and md[k] > mb[k]:
-            first_strict = k
-    return VerificationReport(
-        claim="majorization_lifts_moments",
-        instance={
-            "b": format_degree_sequence(bs),
-            "d": format_degree_sequence(ds),
-            "k_max": k_max,
-        },
-        status="fail" if counterexample else "pass",
-        witness=canonical_code(gd, ignore_root=True).decode("ascii"),
-        counterexample=counterexample,
-        stats={
-            "equal_sequences": equal,
-            "first_strict_k": first_strict,
-            "elapsed_s": time.perf_counter() - started,
-        },
-    )
+    found = {"equal_sequences": bs.degrees == ds.degrees, "first_strict_k": None}
+
+    def judge(tree: Tree) -> dict | None:
+        # b = d gives isomorphic greedy trees, so strictness is always due here
+        mb = spectral_moments_up_to(tree, k_max)
+        for k in range(k_max + 1):
+            if mb[k] > md[k] or (mb[k] == md[k] and k >= 4 and k % 2 == 0):
+                return {
+                    "k": k,
+                    "moment_b": str(mb[k]),
+                    "moment_d": str(md[k]),
+                    "violated": "inequality" if mb[k] > md[k] else "strictness",
+                }
+            if found["first_strict_k"] is None and md[k] > mb[k]:
+                found["first_strict_k"] = k
+        return None
+
+    instance = {
+        "b": format_degree_sequence(bs),
+        "d": format_degree_sequence(ds),
+        "k_max": k_max,
+    }
+    return instance, gd, [gb], judge, lambda status, enumerated: found
 
 
+@_sweep("volkmann_tree_maximizes_moments_under_degree_bound", stop=False)
 def verify_volkmann_conjecture(
     n: int, max_degree: int, k_max: int, cap: int | None = None
 ) -> VerificationReport:
@@ -371,54 +392,41 @@ def verify_volkmann_conjecture(
     at most Delta, and the subset with maximum degree exactly Delta.  Each
     reading gets its own verdict in the stats.
     """
-    started = time.perf_counter()
     volkmann = build_volkmann_tree(n, max_degree)
     vm = spectral_moments_up_to(volkmann, k_max)
-    vcode = canonical_code(volkmann, ignore_root=True)
-    counterexample = None
-    sequences = 0
-    enumerated = 0
-    exactly_ok = True
-    for ds in tree_degree_sequences(n, max_degree):
-        sequences += 1
-        exact = ds[0] == max_degree
-        for tree in enumerate_trees(ds, cap):
-            enumerated += 1
-            tm = spectral_moments_up_to(tree, k_max)
-            for k in range(k_max + 1):
-                if tm[k] > vm[k]:
-                    if exact:
-                        exactly_ok = False
-                    if counterexample is None:
-                        counterexample = {
-                            "tree": tree_to_dict(tree),
-                            "degree_sequence": format_degree_sequence(ds),
-                            "k": k,
-                            "moment": str(tm[k]),
-                            "volkmann_moment": str(vm[k]),
-                        }
-                    break
-    status = "fail" if counterexample else "pass"
-    return VerificationReport(
-        claim="volkmann_tree_maximizes_moments_under_degree_bound",
-        instance={"n": n, "max_degree": max_degree, "k_max": k_max},
-        status=status,
-        witness=vcode.decode("ascii"),
-        counterexample=counterexample,
-        stats={
+    sequences = tree_degree_sequences(n, max_degree)
+    exactly = {"reading_exactly": "pass"}
+
+    def judge(tree: Tree) -> dict | None:
+        tm = spectral_moments_up_to(tree, k_max)
+        k = _first_excess(tm, vm)
+        if k is None:
+            return None
+        ds = tree.degree_sequence()
+        if ds[0] == max_degree:
+            exactly["reading_exactly"] = "fail"
+        return {
+            "tree": tree_to_dict(tree),
+            "degree_sequence": format_degree_sequence(ds),
+            "k": k,
+            "moment": str(tm[k]),
+            "volkmann_moment": str(vm[k]),
+        }
+
+    def stats(status: str, enumerated: int) -> dict:
+        return {
             "reading_at_most": status,
-            "reading_exactly": "pass" if exactly_ok else "fail",
-            "sequences": sequences,
+            **exactly,
+            "sequences": len(sequences),
             "trees_enumerated": enumerated,
-            "elapsed_s": time.perf_counter() - started,
-        },
-    )
+        }
+
+    instance = {"n": n, "max_degree": max_degree, "k_max": k_max}
+    trees = (tree for ds in sequences for tree in enumerate_trees(ds, cap))
+    return instance, volkmann, trees, judge, stats
 
 
-def _tighten(best: float | None, value: float) -> float:
-    return value if best is None or value < best else best
-
-
+@_sweep("greedy_tree_dominates_radius_estrada_charpoly")
 def verify_spectral_corollaries(
     d,
     x_margin: float = 1.0,
@@ -433,7 +441,6 @@ def verify_spectral_corollaries(
     and its characteristic polynomial lies below every competitor's at
     points right of its spectral radius.
     """
-    started = time.perf_counter()
     # nan fails every comparison, so it is refused here too
     if not (0 < tol < math.inf and 0 < strict_tol < math.inf and 0 <= x_margin < math.inf):
         raise InvalidBoundsError(
@@ -442,62 +449,43 @@ def verify_spectral_corollaries(
         )
     ds = validate_degree_sequence(d)
     greedy = build_greedy_tree(ds)
-    gcode = canonical_code(greedy, ignore_root=True)
     rho_g = spectral_radius(greedy, 1e-12)
     ee_g = estrada_index(greedy, 1e-10)
     x0 = rho_g + x_margin
     pg = evaluate_char_poly(characteristic_polynomial(greedy), x0)
-    counterexample = None
-    enumerated = 0
-    min_radius_gap = None
-    min_estrada_gap = None
-    min_charpoly_gap = None
-    for tree in enumerate_trees(ds, cap):
-        enumerated += 1
-        if canonical_code(tree) == gcode:
-            continue
-        rho_t = spectral_radius(tree, 1e-12)
-        ee_t = estrada_index(tree, 1e-10)
-        pt = evaluate_char_poly(characteristic_polynomial(tree), x0)
-        checks = (
-            ("spectral_radius", rho_g - rho_t, -tol),
-            ("estrada_index", ee_g - ee_t, -tol),
-            ("estrada_strictness", ee_g - ee_t, strict_tol),
-            ("char_poly_at_rho_plus_margin", pt - pg, -tol),
-        )
-        for quantity, gap, floor in checks:
+    gaps = dict.fromkeys(("min_radius_gap", "min_estrada_gap", "min_charpoly_gap"))
+
+    def judge(tree: Tree) -> dict | None:
+        radius = rho_g - spectral_radius(tree, 1e-12)
+        estrada = ee_g - estrada_index(tree, 1e-10)
+        charpoly = evaluate_char_poly(characteristic_polynomial(tree), x0) - pg
+        for quantity, gap, floor in (
+            ("spectral_radius", radius, -tol),
+            ("estrada_index", estrada, -tol),
+            ("estrada_strictness", estrada, strict_tol),
+            ("char_poly_at_rho_plus_margin", charpoly, -tol),
+        ):
             if gap < floor:
-                counterexample = {
+                return {
                     "tree": tree_to_dict(tree),
                     "quantity": quantity,
                     "gap": gap,
                     "floor": floor,
                 }
-                break
-        if counterexample is not None:
-            break
-        min_radius_gap = _tighten(min_radius_gap, rho_g - rho_t)
-        min_estrada_gap = _tighten(min_estrada_gap, ee_g - ee_t)
-        min_charpoly_gap = _tighten(min_charpoly_gap, pt - pg)
-    return VerificationReport(
-        claim="greedy_tree_dominates_radius_estrada_charpoly",
-        instance={
-            "degree_sequence": format_degree_sequence(ds),
-            "tol": tol,
-            "strict_tol": strict_tol,
-            "x_margin": x_margin,
-        },
-        status="fail" if counterexample else "pass",
-        witness=gcode.decode("ascii"),
-        counterexample=counterexample,
-        stats={
-            "trees_enumerated": enumerated,
-            "min_radius_gap": min_radius_gap,
-            "min_estrada_gap": min_estrada_gap,
-            "min_charpoly_gap": min_charpoly_gap,
-            "elapsed_s": time.perf_counter() - started,
-        },
-    )
+        for key, gap in zip(gaps, (radius, estrada, charpoly)):
+            gaps[key] = gap if gaps[key] is None else min(gaps[key], gap)
+        return None
+
+    def stats(status: str, enumerated: int) -> dict:
+        return {"trees_enumerated": enumerated, **gaps}
+
+    instance = {
+        "degree_sequence": format_degree_sequence(ds),
+        "tol": tol,
+        "strict_tol": strict_tol,
+        "x_margin": x_margin,
+    }
+    return instance, greedy, enumerate_trees(ds, cap), judge, stats
 
 
 def build_remark_pair(r: int) -> tuple[Tree, Tree]:

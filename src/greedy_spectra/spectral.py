@@ -283,8 +283,17 @@ def characteristic_polynomial(t: Tree) -> tuple[int, ...]:
 
 
 def evaluate_char_poly(coefficients: Sequence[int], x: float) -> float:
-    """Horner evaluation of a constant-first coefficient list."""
+    """Horner evaluation of a constant-first coefficient list.
+
+    Raises InvalidBoundsError when the value is not a finite float, so that
+    no inf or nan reaches a comparison that would let it pass.
+    """
     acc = 0.0
-    for coef in reversed(tuple(coefficients)):
-        acc = acc * x + coef
+    try:
+        for coef in reversed(tuple(coefficients)):
+            acc = acc * x + coef
+    except OverflowError:  # a coefficient beyond the float range
+        acc = math.inf
+    if not math.isfinite(acc):
+        raise InvalidBoundsError(f"characteristic polynomial at x = {x} is not a finite float")
     return acc

@@ -453,7 +453,9 @@ def to_json(t: Tree) -> str:
 def from_json(text: str) -> Tree:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit
+        # limit; RecursionError covers nesting too deep to decode
         raise NotRealizableError(f"invalid tree JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise NotRealizableError("tree JSON must be an object")

@@ -1,5 +1,6 @@
 """The command-line surface: verbs, piping, exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -154,7 +155,7 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert json.loads(out)["counterexample"] == {"k": 4}
 
 
-def test_invalid_input_exits_2(capsys, monkeypatch):
+def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "greedy", "3,3,3")
     assert code == 2 and out == "" and "error:" in err
     for root in (
@@ -176,6 +177,57 @@ def test_invalid_input_exits_2(capsys, monkeypatch):
     for tol in ("nan", "inf", "-1"):
         code, out, err = run(capsys, "verify", "corollaries", "3,2,2,1,1,1", "--tol", tol)
         assert code == 2 and out == "" and "error:" in err
+    # JSON nested past the recursion limit, bytes that are not UTF-8, and an
+    # integer past the digit limit
+    for name, content in (
+        ("deep.json", b"[" * 100000),
+        ("latin1.json", b"\x80"),
+        ("bigint.json", b'{"n": ' + b"1" * 5000 + b', "edges": []}'),
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, "export", str(path))
+        assert code == 2 and out == "" and "error:" in err
+    huge = "99999999999999999999"
+    for argv in (
+        ("moments", "--degseq", "2,1,1", "--k", huge),
+        ("volkmann", huge, "3"),
+        ("remark-pair", huge),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
+
+def test_export_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=10,
+    )
+    vertex = st.integers(-1, 6)
+    pair = st.lists(vertex, min_size=2, max_size=2)
+    tree = st.fixed_dictionaries(
+        {},
+        optional={
+            "n": vertex | junk,
+            "edges": st.lists(pair, max_size=6) | junk,
+            "root_vertex": vertex | junk,
+            "root_edge": pair | junk,
+        },
+    )
+    files = (tree | junk).map(lambda value: json.dumps(value).encode()) | st.binary()
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(files)
+    def check(content):
+        path.write_bytes(content)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["export", str(path)]) in (0, 2)
+
+    check()
 
 
 def test_cap_exit_3(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Isomorphism-free enumeration and the claim verifiers built on it."""
 
+import json
+
 import pytest
 
 from greedy_spectra import (
@@ -19,12 +21,15 @@ from greedy_spectra import (
     first_strict_difference,
     is_isomorphic,
     resolve_cap,
+    spectral_moments_up_to,
     tree_degree_sequences,
+    tree_from_dict,
     verify_greedy_maximality,
     verify_majorization_monotonicity,
     verify_spectral_corollaries,
     verify_volkmann_conjecture,
 )
+from greedy_spectra import cli, enumeration
 from oracles import canonical_form, classes_by_prufer
 
 SPIDER_221 = Tree(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
@@ -230,6 +235,85 @@ def test_verify_spectral_corollaries():
         with pytest.raises(InvalidBoundsError):
             verify_spectral_corollaries((3, 2, 2, 1, 1, 1), **bad)
     assert verify_spectral_corollaries((3, 2, 2, 1, 1, 1), x_margin=0.0).status == "pass"
+
+
+def test_verifiers_report_real_failures(monkeypatch, capsys):
+    """Stand-in extremal trees drive every verifier down its fail path."""
+
+    def cli_exit(*argv):
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        assert json.loads(out)["status"] == "fail"
+        return code
+
+    # the class member with the least moments stands in for the greedy tree
+    d = (3, 2, 2, 2, 1, 1, 1)
+    least = min(enumerate_trees(d), key=lambda t: tuple(spectral_moments_up_to(t, 12)))
+    monkeypatch.setattr(enumeration, "build_greedy_tree", lambda ds: least)
+    report = verify_greedy_maximality(d, k_max=12)
+    assert report.status == "fail"
+    assert report.witness == canonical_code(least, ignore_root=True).decode()
+    cx = report.counterexample
+    assert list(cx) == ["tree", "k", "moment", "greedy_moment"]
+    assert not is_isomorphic(tree_from_dict(cx["tree"]), least, ignore_roots=True)
+    assert (cx["k"], cx["moment"], cx["greedy_moment"]) == (6, "126", "120")
+    assert report.to_dict()["stats"] == {"trees_enumerated": 2, "ties": 0, "first_strict_k": {}}
+    assert cli_exit("verify", "maximality", "3,2^3,1^3", "--k", "12") == 1
+
+    report = verify_spectral_corollaries(d)
+    assert report.status == "fail"
+    cx = report.counterexample
+    assert list(cx) == ["tree", "quantity", "gap", "floor"]
+    assert cx["quantity"] == "spectral_radius" and cx["floor"] == -1e-9
+    assert -0.04 < cx["gap"] < -0.03
+    assert report.to_dict()["stats"] == {
+        "trees_enumerated": 2,
+        "min_radius_gap": None,
+        "min_estrada_gap": None,
+        "min_charpoly_gap": None,
+    }
+    assert cli_exit("verify", "corollaries", "3,2^3,1^3") == 1
+
+    # a path stands in for the Volkmann tree; the sweep goes on after the
+    # first failure to decide the "exactly Delta" reading
+    path = Tree(7, tuple((i, i + 1) for i in range(6)))
+    monkeypatch.setattr(enumeration, "build_volkmann_tree", lambda n, max_degree: path)
+    report = verify_volkmann_conjecture(7, 3, k_max=12)
+    assert report.status == "fail"
+    cx = report.counterexample
+    assert list(cx) == ["tree", "degree_sequence", "k", "moment", "volkmann_moment"]
+    assert (cx["degree_sequence"], cx["k"], cx["moment"], cx["volkmann_moment"]) == (
+        "3^2,2,1^4", 4, "40", "32"
+    )
+    assert report.to_dict()["stats"] == {
+        "reading_at_most": "fail",
+        "reading_exactly": "fail",
+        "sequences": 3,
+        "trees_enumerated": 6,
+    }
+    assert cli_exit("verify", "volkmann", "7", "3", "--k", "12") == 1
+
+    # d = 3,2^2,1^3 gets the non-greedy spider, b = 2^4,1^2 the greedy one
+    greedy = build_greedy_tree((3, 2, 2, 1, 1, 1))
+    swapped = {(3, 2, 2, 1, 1, 1): SPIDER_311, (2, 2, 2, 2, 1, 1): greedy}
+    monkeypatch.setattr(enumeration, "build_greedy_tree", lambda ds: swapped[ds.degrees])
+    report = verify_majorization_monotonicity((2, 2, 2, 2, 1, 1), (3, 2, 2, 1, 1, 1), 12)
+    assert report.counterexample == {
+        "k": 4, "moment_b": "30", "moment_d": "30", "violated": "strictness"
+    }
+    assert report.to_dict()["stats"] == {"equal_sequences": False, "first_strict_k": None}
+    assert cli_exit("verify", "majorization", "2^4,1^2", "3,2^2,1^3", "--k", "12") == 1
+
+    # b = 2^2,1^2 gets the star, d = 3,1^3 the path
+    star = Tree(4, ((0, 1), (0, 2), (0, 3)))
+    swapped = {(2, 2, 1, 1): star, (3, 1, 1, 1): Tree(4, ((0, 1), (1, 2), (2, 3)))}
+    report = verify_majorization_monotonicity((2, 2, 1, 1), (3, 1, 1, 1), 12)
+    assert report.status == "fail"
+    assert report.counterexample == {
+        "k": 4, "moment_b": "18", "moment_d": "14", "violated": "inequality"
+    }
+    assert report.to_dict()["stats"] == {"equal_sequences": False, "first_strict_k": None}
+    assert cli_exit("verify", "majorization", "2,2,1,1", "3,1,1,1", "--k", "12") == 1
 
 
 # ---------------------------------------------------------------------------

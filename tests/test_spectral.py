@@ -291,6 +291,13 @@ def test_evaluate_char_poly_spot_values():
     assert evaluate_char_poly((1, 0, -3, 0, 1), 2.0) == 5.0
     assert evaluate_char_poly((0, 0, -3, 0, 1), 2.0) == 4.0
     assert evaluate_char_poly((0, -2, 0, 1), 0.0) == 0.0
+    # a value that is not a finite float is refused, not returned
+    with pytest.raises(InvalidBoundsError):
+        evaluate_char_poly([0] * 400 + [1], 10.0)
+    with pytest.raises(InvalidBoundsError):
+        evaluate_char_poly((1, 0, -3, 0, 1), float("nan"))
+    with pytest.raises(InvalidBoundsError):
+        evaluate_char_poly((10**400, 1), 1.0)
 
 
 def test_log_char_poly_expands_into_moments():
