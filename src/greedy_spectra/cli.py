@@ -26,7 +26,7 @@ from .enumeration import (
 from .errors import CapExceededError, GreedySpectraError, NotRealizableError
 from .spectral import characteristic_polynomial, eigenvalues, estrada_index
 from .trees import build_greedy_tree, build_volkmann_tree, from_json, to_dot, to_json, tree_to_dict
-from .walks import spectral_moments_up_to
+from .walks import _decimal_strings, spectral_moments_up_to
 
 __all__ = ["main", "build_parser"]
 
@@ -136,7 +136,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "moments":
         mv = spectral_moments_up_to(_load_tree(args), args.k)
         if args.json:
-            print(json.dumps({"k_max": args.k, "moments": [str(c) for c in mv]}))
+            print(json.dumps({"k_max": args.k, "moments": _decimal_strings(mv)}))
         else:
             print(mv.to_json())
         return 0
@@ -156,7 +156,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.verb == "charpoly":
         coeffs = characteristic_polynomial(_load_tree(args))
-        payload = [str(c) for c in coeffs]
+        payload = _decimal_strings(coeffs)
         if args.json:
             print(json.dumps({"coefficients_constant_first": payload}))
         else:
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
     except (GreedySpectraError, OverflowError) as exc:
         # OverflowError: an integer argument too large for a size or index
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; ask for a smaller size", file=sys.stderr)
         return 2
 
 

@@ -1,18 +1,36 @@
 """Exact walk counting: spectral moments, total walks, level-restricted walks.
 
 The k-th spectral moment of a graph equals the number of closed k-walks, so
-every quantity here is an exact Python integer obtained by propagating
-counting vectors along adjacency lists; no floating point is involved.
+every quantity here is an exact Python integer; no floating point is involved.
+
+Moments come from rerooted branch generating functions.  A closed walk at u
+splits at its returns to u into excursions: a step to a neighbour w, a closed
+walk at w on w's side of the edge wu, and the step back.  So with B_{u|v} the
+series in y = x^2 of closed walks at u on u's side of the edge uv, and C_v
+that of all closed walks at v,
+
+    B_{u|v} = 1 / (1 - y * sum_{w~u, w!=v} B_{w|u}),
+    C_v     = 1 / (1 - y * sum_{u~v} B_{u|v}),      M_2j = sum_v [y^j] C_v.
+
+One pass up and one pass down a rooted traversal give every directed B in
+O(n k^2) integer operations, each vertex forming its full neighbour sum once
+and taking one branch out of it per child; odd moments of a tree are zero.
+Past k = n the moments continue by Newton's identities: the power sums
+M_1..M_n fix the elementary symmetric functions of the eigenvalues, and those
+give every later M_k by an order-n linear recurrence.  Total and
+level-restricted walks push counting vectors along adjacency lists.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import InvalidBoundsError, LevelMismatchError, NotAnEdgeError
-from .trees import Tree
+from .trees import Tree, _bfs
 
 __all__ = [
     "MomentVector",
@@ -56,7 +74,7 @@ class MomentVector:
 
     def to_json(self) -> str:
         """Counts as a JSON array of decimal strings (they outgrow doubles fast)."""
-        return json.dumps([str(c) for c in self.counts])
+        return json.dumps(_decimal_strings(self.counts))
 
     @classmethod
     def from_json(cls, text: str) -> "MomentVector":
@@ -127,19 +145,64 @@ def spectral_moment(t: Tree, k: int) -> int:
 
 
 def spectral_moments_up_to(t: Tree, k_max: int) -> MomentVector:
-    """Moment vector (M_0, ..., M_k_max) by per-vertex walk propagation."""
+    """Moment vector (M_0, ..., M_k_max): rerooted branch series, then Newton."""
     if k_max < 0:
         raise InvalidBoundsError(f"walk length must be >= 0, got {k_max}")
-    adj = t.adjacency
     counts = [0] * (k_max + 1)
-    counts[0] = t.n
-    for start in range(t.n):
-        vec = [0] * t.n
-        vec[start] = 1
-        for k in range(1, k_max + 1):
-            vec = _adjacency_step(adj, vec)
-            counts[k] += vec[start]
+    top = min(k_max, t.n) // 2
+    counts[: 2 * top + 1 : 2] = _even_moments(t, top)
+    if k_max > t.n:
+        # Newton's identities; e_odd and M_odd vanish, e[l - 1] is e_{2l}.
+        e: list[int] = []
+        for j in range(1, t.n // 2 + 1):
+            s = counts[2 * j] + sum(c * counts[2 * (j - l)] for l, c in enumerate(e, 1))
+            e.append(-s // (2 * j))  # exact: e_{2j} is an integer
+        while e and not e[-1]:  # e_{2l} = (-1)^l (number of l-matchings)
+            e.pop()
+        for k in range(2 * top + 2, k_max + 1, 2):
+            counts[k] = -sum(c * counts[k - 2 * l] for l, c in enumerate(e, 1))
     return MomentVector(tuple(counts))
+
+
+def _even_moments(t: Tree, half: int) -> list[int]:
+    """M_0, M_2, ..., M_{2 half} from the branch series B and C (module doc)."""
+    adj = t.adjacency
+    order, parent, _ = _bfs(adj, (0,))
+    zero = [0] * half
+    up = [zero] * t.n  # up[v] = B_{v|parent v}
+    down = [zero] * t.n  # down[v] = B_{parent v|v}
+    below = [zero] * t.n  # below[v] = sum of B_{c|v} over the children c of v
+    for v in reversed(order[1:]):
+        up[v] = b = _reciprocal(below[v], half)
+        p = parent[v]
+        below[p] = [x + y for x, y in zip(below[p], b)]
+    moments = [0] * (half + 1)
+    for v in order:
+        full = [x + y for x, y in zip(below[v], down[v])]
+        moments = [m + c for m, c in zip(moments, _reciprocal(full, half + 1))]
+        for u in adj[v]:
+            if u != parent[v]:
+                down[u] = _reciprocal([x - y for x, y in zip(full, up[u])], half)
+    return moments
+
+
+def _reciprocal(s: Sequence[int], length: int) -> list[int]:
+    """Coefficients of y^0..y^(length-1) in 1 / (1 - y s(y))."""
+    b = [1] * length
+    for j in range(1, length):
+        b[j] = sum(map(mul, s[:j], b[j - 1::-1]))
+    return b
+
+
+def _decimal_strings(counts: Sequence[int]) -> list[str]:
+    """Exact counts as decimal strings, refusing those past Python's digit limit."""
+    try:
+        return [str(c) for c in counts]
+    except ValueError:
+        raise InvalidBoundsError(
+            f"a count has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "past Python's int-to-str limit"
+        ) from None
 
 
 def total_walks(t: Tree, k: int) -> int:

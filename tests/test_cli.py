@@ -19,6 +19,7 @@ from greedy_spectra import (
     to_json,
 )
 from greedy_spectra import cli
+from oracles import moments_by_matrix_power
 
 SPIDER_221 = Tree(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
 
@@ -196,12 +197,30 @@ def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err
+    # moments past Python's int-to-str digit limit: M_30000 of P_3 is
+    # 2^15001, M_7400 of the star K_1,15 is 2 * 15^3700
+    for argv in (
+        ("moments", "--degseq", "2,1,1", "--k", "30000"),
+        ("moments", "--degseq", "15,1^15", "--k", "7400", "--json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "digits" in err
 
 
-def test_export_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(t, k_max):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "spectral_moments_up_to", exhausted)
+    code, out, err = run(capsys, "moments", "--degseq", "2,1,1", "--k", "400000000")
+    assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+
+
+def _tree_files(st, *extra):
+    """Tree files: tree-shaped JSON with junk values, any JSON, any bytes.
+
+    ``extra`` strategies add more JSON values to the mix.
+    """
     junk = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
         lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
@@ -218,14 +237,49 @@ def test_export_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
             "root_edge": pair | junk,
         },
     )
-    files = (tree | junk).map(lambda value: json.dumps(value).encode()) | st.binary()
+    values = st.one_of(tree, junk, *extra)
+    return values.map(lambda value: json.dumps(value).encode()) | st.binary()
+
+
+def test_export_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(files)
+    @hypothesis.given(_tree_files(hypothesis.strategies))
     def check(content):
         path.write_bytes(content)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(["export", str(path)]) in (0, 2)
+
+    check()
+
+
+def test_moments_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
+
+    # vertex v > 0 hangs from a random earlier vertex: a valid tree, some past n = 12
+    valid = st.integers(1, 14).flatmap(
+        lambda n: st.tuples(*(st.integers(0, v - 1) for v in range(1, n))).map(
+            lambda parents: {"n": n, "edges": [[p, v] for v, p in enumerate(parents, 1)]}
+        )
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(_tree_files(st, valid), st.integers(-3, 60))
+    def check(content, k):
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["moments", str(path), "--k", str(k)])
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        if code == 0:
+            tree = from_json(content.decode())
+            if tree.n <= 12:
+                want = [str(c) for c in moments_by_matrix_power(tree, k)]
+                assert json.loads(out.getvalue()) == want
 
     check()
 

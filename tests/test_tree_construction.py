@@ -1,6 +1,7 @@
 """Greedy construction, leveled degree sequences, canonical codes, formats."""
 
 import json
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from greedy_spectra import (
     is_isomorphic,
     leveled_degree_sequence,
     midpoint_root,
+    spectral_moments_up_to,
     to_dot,
     to_json,
     tree_degree_sequences,
@@ -411,6 +413,13 @@ def test_deep_path_needs_no_recursion():
     assert midpoint_root(t, 0, n - 2) == ("vertex", n // 2 - 1)
     assert leveled_degree_sequence(t, 0).levels == ((1,),) + ((2,),) * (n - 2) + ((1,),)
     assert leveled_degree_sequence(mid_rooted).levels == ((2, 2),) * (n // 2 - 1) + ((1, 1),)
+    mv = spectral_moments_up_to(t, 20)
+    assert mv[2] == 2 * (n - 1)
+    assert mv[4] == 2 * sum(d * d for d in t.degrees) - 2 * (n - 1)
+    # a closed 2j-walk on a path with n > 2j vertices meets at most one end:
+    # by reflection, M_2j = (n + 1) binom(2j, j) - 4^j
+    assert all(mv[k] == 0 for k in range(1, 21, 2))
+    assert all(mv[2 * j] == (n + 1) * math.comb(2 * j, j) - 4 ** j for j in range(11))
 
 
 # ---------------------------------------------------------------------------

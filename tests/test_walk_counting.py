@@ -116,6 +116,26 @@ def test_single_vertex_moments():
     assert spectral_moments_up_to(Tree(1, ()), 5).counts == (1, 0, 0, 0, 0, 0)
 
 
+def test_moments_match_matrix_powers_across_the_newton_seam():
+    # Rerooting gives M_0..M_n; past k = n the moments come from Newton's
+    # identities, so both sides of k = n are checked, at odd k_max too.
+    rng = random.Random(54)
+    for n in [10, 60] + [rng.randint(11, 59) for _ in range(5)]:
+        t = random_tree(rng, n)
+        want = moments_by_matrix_power(t, 2 * n + 3)
+        odd = rng.randrange(1, 2 * n + 3, 2)
+        for k_max in (n - 1, n, n + 1, 2 * n + 3, odd):
+            assert list(spectral_moments_up_to(t, k_max)) == want[: k_max + 1], (n, k_max)
+
+
+def test_long_moment_vector_of_p3():
+    # P_3 has eigenvalues +-sqrt(2) and 0, so M_2j = 2^(j+1) for j >= 1
+    mv = spectral_moments_up_to(P3, 20000)
+    assert mv.k_max == 20000 and mv[0] == 3
+    assert all(mv[k] == 0 for k in range(1, 20001, 2))
+    assert all(mv[2 * j] == 2 ** (j + 1) for j in range(1, 10001))
+
+
 # ---------------------------------------------------------------------------
 # total walks
 
