@@ -20,7 +20,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .trees import Tree, _bfs
-from .walks import spectral_moments_up_to
+from .walks import _matching_numbers, spectral_moments_up_to
 
 __all__ = [
     "Spectrum",
@@ -233,53 +233,16 @@ def evaluate_functional(t: Tree, f: PowerSeriesFunctional) -> float:
     return float(acc)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def characteristic_polynomial(t: Tree) -> tuple[int, ...]:
     """Coefficients of det(xI - A), constant term first, exact integers.
 
-    Uses the rooted two-polynomial recurrence: for a vertex v with children
-    c_1..c_d, with p the polynomial of the subtree at v and q the product of
-    the children's p's,
-
-        p_v = x * prod p_ci - sum_i q_ci * prod_{j != i} p_cj,
-        q_v = prod p_ci.
-
-    A leaf has p = x, q = 1.  The root's p is the characteristic polynomial.
+    For a tree the coefficient of x^(n-2j) is (-1)^j m_j, with m_j the
+    number of j-edge matchings, and every other coefficient is zero.
     """
-    order, parent, _ = _bfs(t.adjacency, (0,))
-    p: dict[int, list[int]] = {}
-    q: dict[int, list[int]] = {}
-    for v in reversed(order):
-        kids = [u for u in t.adjacency[v] if u != parent[v]]
-        if not kids:
-            p[v] = [0, 1]
-            q[v] = [1]
-            continue
-        polys = [p[u] for u in kids]
-        prefix = [[1]]
-        for poly in polys:
-            prefix.append(_poly_mul(prefix[-1], poly))
-        suffix = [[1]]
-        for poly in reversed(polys):
-            suffix.append(_poly_mul(suffix[-1], poly))
-        suffix.reverse()
-        full = prefix[-1]
-        pv = [0] + full  # times x
-        for idx, u in enumerate(kids):
-            term = _poly_mul(q[u], _poly_mul(prefix[idx], suffix[idx + 1]))
-            for j, coef in enumerate(term):
-                pv[j] -= coef
-        p[v] = pv
-        q[v] = full
-    return tuple(p[order[0]])
+    coefficients = [0] * (t.n + 1)
+    for j, m in enumerate(_matching_numbers(t, t.n // 2)):
+        coefficients[t.n - 2 * j] = (-1) ** j * m
+    return tuple(coefficients)
 
 
 def evaluate_char_poly(coefficients: Sequence[int], x: float) -> float:

@@ -3,21 +3,21 @@
 The k-th spectral moment of a graph equals the number of closed k-walks, so
 every quantity here is an exact Python integer; no floating point is involved.
 
-Moments come from rerooted branch generating functions.  A closed walk at u
-splits at its returns to u into excursions: a step to a neighbour w, a closed
-walk at w on w's side of the edge wu, and the step back.  So with B_{u|v} the
-series in y = x^2 of closed walks at u on u's side of the edge uv, and C_v
-that of all closed walks at v,
+Moments come from matching numbers.  For a tree,
 
-    B_{u|v} = 1 / (1 - y * sum_{w~u, w!=v} B_{w|u}),
-    C_v     = 1 / (1 - y * sum_{u~v} B_{u|v}),      M_2j = sum_v [y^j] C_v.
+    det(xI - A) = sum_j (-1)^j m_j x^(n-2j),
 
-One pass up and one pass down a rooted traversal give every directed B in
-O(n k^2) integer operations, each vertex forming its full neighbour sum once
-and taking one branch out of it per child; odd moments of a tree are zero.
-Past k = n the moments continue by Newton's identities: the power sums
-M_1..M_n fix the elementary symmetric functions of the eigenvalues, and those
-give every later M_k by an order-n linear recurrence.  Total and
+with m_j the number of j-edge matchings, so the elementary symmetric
+functions of the eigenvalues are e_2j = (-1)^j m_j and e_odd = 0.  One
+knapsack up a rooted traversal counts the matchings of each subtree by size,
+keeping "root unmatched" and "any" apart, and Newton's identities turn them
+into moments:
+
+    M_2j = -2j e_2j - sum_{l=1..j-1} e_2l M_{2j-2l}.
+
+M_0..M_k needs m_1..m_{k/2} only, and e_2l vanishes past the matching
+number, so the recurrence has at most that many terms; odd moments of a tree
+are zero.  The same kernel gives the characteristic polynomial.  Total and
 level-restricted walks push counting vectors along adjacency lists.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from operator import mul
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import InvalidBoundsError, LevelMismatchError, NotAnEdgeError
@@ -78,7 +78,18 @@ class MomentVector:
 
     @classmethod
     def from_json(cls, text: str) -> "MomentVector":
-        return cls(tuple(int(s) for s in json.loads(text)))
+        """Read what ``to_json`` writes: a non-empty JSON array of decimal strings."""
+        try:
+            items = json.loads(text)
+            if isinstance(items, list) and all(
+                isinstance(s, str) and s.isascii() and s.isdigit() for s in items
+            ):
+                return cls(tuple(map(int, items)))
+        except (ValueError, RecursionError):  # not JSON, nested too deep, too many digits
+            pass
+        raise InvalidBoundsError(
+            "a moment vector is written as a non-empty JSON array of decimal strings"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,58 +156,53 @@ def spectral_moment(t: Tree, k: int) -> int:
 
 
 def spectral_moments_up_to(t: Tree, k_max: int) -> MomentVector:
-    """Moment vector (M_0, ..., M_k_max): rerooted branch series, then Newton."""
+    """Moment vector (M_0, ..., M_k_max) from matching numbers by Newton's identities."""
     if k_max < 0:
         raise InvalidBoundsError(f"walk length must be >= 0, got {k_max}")
     counts = [0] * (k_max + 1)
-    top = min(k_max, t.n) // 2
-    counts[: 2 * top + 1 : 2] = _even_moments(t, top)
-    if k_max > t.n:
-        # Newton's identities; e_odd and M_odd vanish, e[l - 1] is e_{2l}.
-        e: list[int] = []
-        for j in range(1, t.n // 2 + 1):
-            s = counts[2 * j] + sum(c * counts[2 * (j - l)] for l, c in enumerate(e, 1))
-            e.append(-s // (2 * j))  # exact: e_{2j} is an integer
-        while e and not e[-1]:  # e_{2l} = (-1)^l (number of l-matchings)
-            e.pop()
-        for k in range(2 * top + 2, k_max + 1, 2):
-            counts[k] = -sum(c * counts[k - 2 * l] for l, c in enumerate(e, 1))
+    counts[0] = t.n
+    e = [(-1) ** j * m for j, m in enumerate(_matching_numbers(t, k_max // 2))]
+    for j in range(1, k_max // 2 + 1):
+        s = sum(e[l] * counts[2 * (j - l)] for l in range(1, min(j, len(e))))
+        counts[2 * j] = -s - 2 * j * e[j] if j < len(e) else -s
     return MomentVector(tuple(counts))
 
 
-def _even_moments(t: Tree, half: int) -> list[int]:
-    """M_0, M_2, ..., M_{2 half} from the branch series B and C (module doc)."""
-    adj = t.adjacency
-    order, parent, _ = _bfs(adj, (0,))
-    zero = [0] * half
-    up = [zero] * t.n  # up[v] = B_{v|parent v}
-    down = [zero] * t.n  # down[v] = B_{parent v|v}
-    below = [zero] * t.n  # below[v] = sum of B_{c|v} over the children c of v
-    for v in reversed(order[1:]):
-        up[v] = b = _reciprocal(below[v], half)
-        p = parent[v]
-        below[p] = [x + y for x, y in zip(below[p], b)]
-    moments = [0] * (half + 1)
-    for v in order:
-        full = [x + y for x, y in zip(below[v], down[v])]
-        moments = [m + c for m, c in zip(moments, _reciprocal(full, half + 1))]
-        for u in adj[v]:
-            if u != parent[v]:
-                down[u] = _reciprocal([x - y for x, y in zip(full, up[u])], half)
-    return moments
+def _matching_numbers(t: Tree, half: int) -> list[int]:
+    """m_0, m_1, ...: the number of j-edge matchings for j <= ``half``.
+
+    A knapsack up a rooted traversal: free[v] and every[v] count the
+    matchings of v's subtree by size, those leaving v unmatched and all of
+    them.  Hanging child c on v multiplies both by every[c] and adds to
+    every[v] y * free[v] * free[c] for the matchings that take the edge vc.
+    Leading coefficients stay positive, so the lists end at the matching
+    number (or at ``half``) with no trailing zeros.
+    """
+    order, parent, _ = _bfs(t.adjacency, (0,))
+    free = [[1] for _ in range(t.n)]
+    every = [[1] for _ in range(t.n)]
+    for c in reversed(order[1:]):
+        v = parent[c]
+        apart = _product(every[v], every[c], half + 1)
+        joined = [0] + _product(free[v], free[c], half)
+        every[v] = [x + y for x, y in zip_longest(apart, joined, fillvalue=0)]
+        free[v] = _product(free[v], every[c], half + 1)
+    return every[order[0]]
 
 
-def _reciprocal(s: Sequence[int], length: int) -> list[int]:
-    """Coefficients of y^0..y^(length-1) in 1 / (1 - y s(y))."""
-    b = [1] * length
-    for j in range(1, length):
-        b[j] = sum(map(mul, s[:j], b[j - 1::-1]))
-    return b
+def _product(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """The first ``length`` coefficients of a(y) b(y), none past its degree."""
+    out = [0] * min(length, len(a) + len(b) - 1)
+    for i, x in enumerate(a[: len(out)]):
+        for j, y in enumerate(b[: len(out) - i], i):
+            out[j] += x * y
+    return out
 
 
 def _decimal_strings(counts: Sequence[int]) -> list[str]:
     """Exact counts as decimal strings, refusing those past Python's digit limit."""
     try:
+        str(max(counts, key=abs, default=0))  # the longest first, so a refusal is quick
         return [str(c) for c in counts]
     except ValueError:
         raise InvalidBoundsError(

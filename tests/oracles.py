@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used only by the tests.
 
 Everything here recomputes package results by a deliberately different route:
-explicit matrix powers for walk counts, labeled Prufer sequences for
+explicit matrix powers and rerooted branch series for walk counts, Newton's
+identities for the characteristic polynomial, labeled Prufer sequences for
 enumeration, nested-tuple forms for isomorphism, and the raw quantified
 definition of majorization.  None of it is fast; sizes stay small.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import permutations
+from operator import mul
 
 from sympy.utilities.iterables import multiset_permutations
 
@@ -62,6 +64,97 @@ def walk_totals_by_matrix_power(t: Tree, k_max: int) -> list[int]:
         totals.append(sum(sum(row) for row in power))
         power = _mat_mul(power, a)
     return totals
+
+
+# ---------------------------------------------------------------------------
+# moments by rerooted branch generating functions
+
+
+def _reciprocal(s, length: int) -> list[int]:
+    """Coefficients of y^0..y^(length-1) in 1 / (1 - y s(y))."""
+    b = [1] * length
+    for j in range(1, length):
+        b[j] = sum(map(mul, s[:j], b[j - 1 :: -1]))
+    return b
+
+
+def _rooted_order(t: Tree) -> tuple[list[int], list[int]]:
+    """Breadth-first order from vertex 0, and each vertex's parent (-1 at 0)."""
+    parent = [-1] * t.n
+    order = [0]
+    for v in order:
+        for u in t.adjacency[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
+def matching_number(t: Tree) -> int:
+    """Size of a maximum matching in a tree.
+
+    Deepest first, each vertex is matched to its parent when both are free.
+    """
+    order, parent = _rooted_order(t)
+    matched = [False] * t.n
+    for v in reversed(order[1:]):
+        if not matched[v] and not matched[parent[v]]:
+            matched[v] = matched[parent[v]] = True
+    return sum(matched) // 2
+
+
+def moments_by_branch_series(t: Tree, k_max: int) -> list[int]:
+    """M_0..M_k_max from rerooted branch series in y = x^2, then Newton's identities.
+
+    A closed walk at u splits at its returns to u into excursions: a step to
+    a neighbour w, a closed walk at w on w's side of the edge wu, and the
+    step back.  So with B_{u|v} the series of closed walks at u on u's side
+    of the edge uv, and C_v that of all closed walks at v,
+
+        B_{u|v} = 1 / (1 - y * sum_{w~u, w!=v} B_{w|u}),
+        C_v     = 1 / (1 - y * sum_{u~v} B_{u|v}),      M_2j = sum_v [y^j] C_v.
+
+    One pass up and one pass down a rooted traversal give every directed B
+    in O(n k^2).  The even power sums M_2..M_2nu, nu the matching number, fix
+    e_2..e_2nu, the only non-zero elementary symmetric functions of the
+    eigenvalues, and those give every later moment by Newton's identities.
+    """
+    half = min(k_max // 2, matching_number(t))
+    order, parent = _rooted_order(t)
+    zero = [0] * half
+    up = [zero] * t.n  # up[v] = B_{v|parent v}
+    down = [zero] * t.n  # down[v] = B_{parent v|v}
+    below = [zero] * t.n  # below[v] = sum of B_{c|v} over the children c of v
+    for v in reversed(order[1:]):
+        up[v] = b = _reciprocal(below[v], half)
+        p = parent[v]
+        below[p] = [x + y for x, y in zip(below[p], b)]
+    even = [0] * (half + 1)
+    for v in order:
+        full = [x + y for x, y in zip(below[v], down[v])]
+        even = [m + c for m, c in zip(even, _reciprocal(full, half + 1))]
+        for u in t.adjacency[v]:
+            if u != parent[v]:
+                down[u] = _reciprocal([x - y for x, y in zip(full, up[u])], half)
+    counts = [0] * (k_max + 1)
+    counts[: 2 * half + 1 : 2] = even
+    e = []  # e[l - 1] is e_{2l}; e_odd and M_odd vanish
+    for j in range(1, half + 1):
+        s = counts[2 * j] + sum(c * counts[2 * (j - l)] for l, c in enumerate(e, 1))
+        e.append(-s // (2 * j))  # exact: e_{2j} is an integer
+    for k in range(2 * half + 2, k_max + 1, 2):
+        counts[k] = -sum(c * counts[k - 2 * l] for l, c in enumerate(e, 1))
+    return counts
+
+
+def char_poly_from_moments(moments) -> list[int]:
+    """det(xI - A), constant term first, from M_0..M_n by Newton's identities."""
+    n = moments[0]
+    c = [1]  # c[i] is the coefficient of x^(n-i)
+    for k in range(1, n + 1):
+        s = moments[k] + sum(c[i] * moments[k - i] for i in range(1, k))
+        c.append(-s // k)  # exact: the coefficients are integers
+    return c[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from greedy_spectra import (
     to_json,
 )
 from greedy_spectra import cli
-from oracles import moments_by_matrix_power
+from oracles import char_poly_from_moments, moments_by_matrix_power
 
 SPIDER_221 = Tree(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
 
@@ -255,20 +255,22 @@ def test_export_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
     check()
 
 
-def test_moments_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
-
-    # vertex v > 0 hangs from a random earlier vertex: a valid tree, some past n = 12
-    valid = st.integers(1, 14).flatmap(
+def _valid_trees(st):
+    """Valid tree JSON, some past n = 12: vertex v > 0 hangs from a random earlier vertex."""
+    return st.integers(1, 14).flatmap(
         lambda n: st.tuples(*(st.integers(0, v - 1) for v in range(1, n))).map(
             lambda parents: {"n": n, "edges": [[p, v] for v, p in enumerate(parents, 1)]}
         )
     )
 
+
+def test_moments_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
+
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(_tree_files(st, valid), st.integers(-3, 60))
+    @hypothesis.given(_tree_files(st, _valid_trees(st)), st.integers(-3, 60))
     def check(content, k):
         path.write_bytes(content)
         out, err = io.StringIO(), io.StringIO()
@@ -280,6 +282,28 @@ def test_moments_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
             if tree.n <= 12:
                 want = [str(c) for c in moments_by_matrix_power(tree, k)]
                 assert json.loads(out.getvalue()) == want
+
+    check()
+
+
+def test_charpoly_of_arbitrary_input_exits_0_or_2(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(_tree_files(st, _valid_trees(st)))
+    def check(content):
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["charpoly", str(path)])
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        if code == 0:
+            tree = from_json(content.decode())
+            if tree.n <= 12:
+                want = char_poly_from_moments(moments_by_matrix_power(tree, tree.n))
+                assert json.loads(out.getvalue()) == [str(c) for c in want]
 
     check()
 

@@ -12,6 +12,8 @@ from greedy_spectra import (
     NotAnEdgeError,
     Tree,
     build_level_greedy_tree,
+    build_volkmann_tree,
+    characteristic_polynomial,
     closed_walks_by_level_sequence,
     closed_walks_from_directed_edge,
     first_strict_difference,
@@ -24,6 +26,8 @@ from greedy_spectra import (
 )
 from oracles import (
     adjacency_matrix,
+    char_poly_from_moments,
+    moments_by_branch_series,
     moments_by_matrix_power,
     random_tree,
     rooted_trees,
@@ -47,6 +51,12 @@ def test_moment_vector_validation_and_json():
     assert mv.k_max == 4 and mv[4] == 14 and list(mv) == [4, 0, 6, 0, 14]
     assert mv.to_json() == '["4", "0", "6", "0", "14"]'
     assert MomentVector.from_json(mv.to_json()) == mv
+    for payload in [
+        '["x"]', '["' + "9" * 5000 + '"]', '["1", null]', "{", "5",
+        '"12"', "[1.5]", "[true]", "[]", '["-1"]', "[" * 100000,
+    ]:
+        with pytest.raises(InvalidBoundsError):
+            MomentVector.from_json(payload)
     with pytest.raises(InvalidBoundsError):
         MomentVector(())
     with pytest.raises(InvalidBoundsError):
@@ -117,8 +127,8 @@ def test_single_vertex_moments():
 
 
 def test_moments_match_matrix_powers_across_the_newton_seam():
-    # Rerooting gives M_0..M_n; past k = n the moments come from Newton's
-    # identities, so both sides of k = n are checked, at odd k_max too.
+    # Past twice the matching number the Newton recurrence drops its
+    # -2j e_2j term; k_max on both sides of k = n, odd ones too, runs past it.
     rng = random.Random(54)
     for n in [10, 60] + [rng.randint(11, 59) for _ in range(5)]:
         t = random_tree(rng, n)
@@ -126,6 +136,26 @@ def test_moments_match_matrix_powers_across_the_newton_seam():
         odd = rng.randrange(1, 2 * n + 3, 2)
         for k_max in (n - 1, n, n + 1, 2 * n + 3, odd):
             assert list(spectral_moments_up_to(t, k_max)) == want[: k_max + 1], (n, k_max)
+
+
+def test_moments_match_branch_series_at_large_n():
+    # The rerooted branch series share no code with the matching knapsack
+    # and stay fast where matrix powers do not.
+    volkmann = build_volkmann_tree(1000, 3)
+    assert list(spectral_moments_up_to(volkmann, 20)) == moments_by_branch_series(volkmann, 20)
+    rng = random.Random(15)
+    for _ in range(5):
+        n = rng.randint(100, 300)
+        t = random_tree(rng, n)
+        for k_max in (n - 1, n + 1):
+            assert list(spectral_moments_up_to(t, k_max)) == moments_by_branch_series(t, k_max)
+    star = Tree(401, tuple((0, v) for v in range(1, 401)))  # eigenvalues +-20 and 0
+    want = [401] + [0 if k % 2 else 2 * 400 ** (k // 2) for k in range(1, 403)]
+    assert list(spectral_moments_up_to(star, 402)) == moments_by_branch_series(star, 402) == want
+    for n in (rng.randint(190, 210), rng.randint(190, 210)):
+        t = random_tree(rng, n)
+        want = char_poly_from_moments(moments_by_branch_series(t, n))
+        assert list(characteristic_polynomial(t)) == want
 
 
 def test_long_moment_vector_of_p3():
